@@ -46,8 +46,8 @@ def run(config_path: str, output_dir: str | None = None, seed: int | None = None
         with open(os.path.join(cfg.output_dir, "config_resolved.json"), "w") as fh:
             json.dump(cfg.resolved(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        for name, rows in tables.items():
-            emit_csv(rows, os.path.join(cfg.output_dir, name))
+        for name, table in tables.items():
+            emit_csv(table, os.path.join(cfg.output_dir, name))
         with open(os.path.join(cfg.output_dir, "summary.txt"), "w") as fh:
             fh.write(f"# experiment: {cfg.experiment}\n")
             fh.write(f"# finished: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")

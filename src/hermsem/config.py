@@ -1,15 +1,19 @@
 """Experiment configuration: a flat key-value JSON document.
 
-One experiment per invocation.  Every numeric field is validated against
-the module preconditions before any computation starts, and the fully
-resolved configuration (defaults filled in) is echoed next to the outputs
-of every run.
+One experiment per invocation.  Every field is checked against its
+declared type (an integer field rejects bools and floats; a float field
+accepts integers but rejects bools and non-finite values), then every
+numeric field against the module preconditions, before any computation
+starts.  The fully resolved configuration (defaults filled in) is echoed
+next to the outputs of every run.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 __all__ = ["ConfigError", "ExperimentConfig", "EXPERIMENTS"]
 
@@ -24,6 +28,24 @@ EXPERIMENTS = (
 
 class ConfigError(ValueError):
     """Malformed configuration; the message names the offending field."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# field annotation -> (message, check); annotations are strings here
+_TYPE_CHECKS = {
+    "int": ("must be an integer", _is_int),
+    "float": ("must be a finite number", _is_finite),
+    "str": ("must be a string", lambda v: isinstance(v, str)),
+    "list": ("must be a list", lambda v: isinstance(v, list)),
+    "dict": ("must be a map", lambda v: isinstance(v, dict)),
+}
 
 
 @dataclass
@@ -64,6 +86,11 @@ class ExperimentConfig:
     }
 
     def validate(self) -> None:
+        for f in fields(self):
+            msg, ok = _TYPE_CHECKS[f.type]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ConfigError(f"field {f.name!r}: {msg}, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"field 'experiment': unknown name {self.experiment!r}; "
@@ -80,16 +107,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"field 'partition_kind': unknown kind {self.partition_kind!r}"
             )
-        if not self.levels or any(
-            not isinstance(v, int) or v < 0 for v in self.levels
-        ):
+        if not self.levels or any(not _is_int(v) or v < 0 for v in self.levels):
             raise ConfigError("field 'levels': must be nonnegative integers")
         if not self.hitting_levels or any(
-            not isinstance(v, (int, float)) or v <= 0 for v in self.hitting_levels
+            not _is_finite(v) or v <= 0 for v in self.hitting_levels
         ):
-            raise ConfigError("field 'hitting_levels': must be positive numbers")
-        if not isinstance(self.tolerances, dict):
-            raise ConfigError("field 'tolerances': must be a map")
+            raise ConfigError(
+                "field 'hitting_levels': must be positive finite numbers"
+            )
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":

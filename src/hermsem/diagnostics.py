@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .basis import Distribution, TestFunction, basis_vector, seminorm
+from .csvio import Table
 from .metrics import (
     IntegrandDictionary,
     ProcessEnsemble,
@@ -37,6 +38,7 @@ from .vector_integral import TensorIntegrand, vector_integrate
 __all__ = [
     "ProbeCase",
     "ProbeReport",
+    "case_table",
     "stopping_probe",
     "continuity_probe",
     "localization_probe",
@@ -85,17 +87,17 @@ class ProbeReport:
             lines.append(f"  note: {self.notes}")
         return lines
 
-    def case_rows(self) -> list[dict]:
-        return [
-            {
-                "probe": self.name,
-                "case": c.label,
-                "deviation": c.deviation,
-                "tol": c.tol,
-                "passed": int(c.passed),
-            }
-            for c in self.cases
-        ]
+
+def case_table(reports: Sequence[ProbeReport]) -> Table:
+    """Columns (probe, case, deviation, tol, passed), one row per case."""
+    cases = [(rep.name, c) for rep in reports for c in rep.cases]
+    return Table(
+        probe=[name for name, _ in cases],
+        case=[c.label for _, c in cases],
+        deviation=[c.deviation for _, c in cases],
+        tol=[c.tol for _, c in cases],
+        passed=[c.passed for _, c in cases],
+    )
 
 
 def standard_probe_preset(basis, spec, seed: int = 0) -> dict:
@@ -199,13 +201,13 @@ def continuity_probe(
     """
     report = ProbeReport("continuity")
     grid = paths[0].base_grid
-    rows = []
-    for k, H in enumerate(integrand_sequence):
+    sizes, ucps, ses, ems = [], [], [], []
+    for H in integrand_sequence:
         trajs = [integrate_elementary(H, X, p, grid) for p in paths]
         ens = ProcessEnsemble.from_trajectories(trajs, grid)
         reps = r_ucp_replicas(ens, n_max)
-        ucp = float(np.mean(reps))
-        se = float(np.std(reps) / np.sqrt(len(reps)))
+        ucps.append(float(np.mean(reps)))
+        ses.append(float(np.std(reps) / np.sqrt(len(reps))))
         emery = 0.0
         for h in dictionary.elements:
             vals = np.vstack(
@@ -214,24 +216,19 @@ def continuity_probe(
             emery = max(
                 emery, float(np.mean(r_ucp_replicas(ProcessEnsemble(grid, vals), n_max)))
             )
+        ems.append(emery)
         term_sizes = [
             max(abs(v) for v in _coef_bounds(h)) * seminorm(phi, seminorm_level)
             for h, phi in H.terms
         ]
-        size = float(max(term_sizes)) if term_sizes else 0.0
-        rows.append(
-            {
-                "k": k,
-                "integrand_size": size,
-                "ucp_estimate": ucp,
-                "ucp_se": se,
-                "emery_lower_bound": emery,
-            }
-        )
-    report.tables["continuity"] = rows
-    ucps = [r["ucp_estimate"] for r in rows]
-    ses = [r["ucp_se"] for r in rows]
-    ems = [r["emery_lower_bound"] for r in rows]
+        sizes.append(float(max(term_sizes)) if term_sizes else 0.0)
+    report.tables["continuity"] = Table(
+        k=np.arange(len(ucps)),
+        integrand_size=sizes,
+        ucp_estimate=ucps,
+        ucp_se=ses,
+        emery_lower_bound=ems,
+    )
     mono_ucp = all(b <= a + 2 * s for a, b, s in zip(ucps, ucps[1:], ses[1:]))
     mono_em = all(b <= a + 2 * s for a, b, s in zip(ems, ems[1:], ses[1:]))
     report.add_case("ucp monotone within noise", 0.0 if mono_ucp else 1.0, 0.5)

@@ -13,7 +13,9 @@ import numpy as np
 
 from .basis import HermiteBasis, basis_vector, dual_basis_vector, Distribution
 from .config import ConfigError, ExperimentConfig
+from .csvio import Table
 from .diagnostics import (
+    case_table,
     continuity_probe,
     linearity_probe,
     localization_probe,
@@ -105,28 +107,19 @@ def run_metrics(cfg: ExperimentConfig):
     dictionary = IntegrandDictionary.default(spec.horizon, seed=cfg.seed)
     rem = r_em_estimate(sampler, dictionary, cfg.replicas, cfg.n_max)
     tail = ucp_tail_bound(cfg.n_max)
-    rows = [
-        {
-            "metric_name": "r_ucp",
-            "value": rucp,
-            "tail_bound": tail,
-            "replicas": cfg.replicas,
-            "seed": cfg.seed,
-        },
-        {
-            "metric_name": "r_em_lower_bound",
-            "value": rem,
-            "tail_bound": tail,
-            "replicas": cfg.replicas,
-            "seed": cfg.seed,
-        },
-    ]
+    table = Table(
+        metric_name=["r_ucp", "r_em_lower_bound"],
+        value=[rucp, rem],
+        tail_bound=[tail, tail],
+        replicas=[cfg.replicas] * 2,
+        seed=[cfg.seed] * 2,
+    )
     summary = [
         f"r_ucp estimate {rucp:.6g} (series tail <= {tail:.3g})",
         f"Emery dictionary lower bound {rem:.6g} "
         f"({len(dictionary.elements)} dictionary elements)",
     ]
-    return {"metrics.csv": rows}, summary, True
+    return {"metrics.csv": table}, summary, True
 
 
 def _convergence_integrand(basis: HermiteBasis) -> TensorIntegrand:
@@ -165,19 +158,16 @@ def run_riemann_converge(cfg: ExperimentConfig):
             finest_dump = ys[-1].to_rows()
         for n, a, b in zip(levels[:-1], ys[:-1], ys[1:]):
             diffs[n].append(min(1.0, (a - b).dual_sup(1)))
-    rows = []
-    for n in levels[:-1]:
-        d = np.array(diffs[n])
-        rows.append(
-            {
-                "level": n,
-                "mean_ucp_dual_diff": float(np.mean(d)),
-                "se": float(np.std(d) / np.sqrt(len(d))),
-                "replicas": cfg.replicas,
-                "seed": cfg.seed,
-            }
-        )
-    slope = _slope(levels[:-1], [r["mean_ucp_dual_diff"] for r in rows])
+    means = [float(np.mean(diffs[n])) for n in levels[:-1]]
+    ses = [float(np.std(diffs[n]) / np.sqrt(len(diffs[n]))) for n in levels[:-1]]
+    table = Table(
+        level=levels[:-1],
+        mean_ucp_dual_diff=means,
+        se=ses,
+        replicas=[cfg.replicas] * len(means),
+        seed=[cfg.seed] * len(means),
+    )
+    slope = _slope(levels[:-1], means)
     slope_max = cfg.tolerance("slope_max", -0.4)
     ok = slope <= slope_max
     summary = [
@@ -185,7 +175,7 @@ def run_riemann_converge(cfg: ExperimentConfig):
         f"log2 slope {slope:.3f} (gate: <= {slope_max})",
         f"riemann-converge: {'PASS' if ok else 'FAIL'}",
     ]
-    tables = {"riemann_converge.csv": rows}
+    tables = {"riemann_converge.csv": table}
     if finest_dump is not None:
         tables["integral_replica0.csv"] = finest_dump
     return tables, summary, ok
@@ -197,7 +187,6 @@ def run_ito_verify(cfg: ExperimentConfig):
     T = dual_basis_vector(basis, 0)
     phi = basis_vector(basis, 0)
     cells = 2**cfg.level
-    rows = []
     residuals = []
     for i in range(cfg.replicas):
         path = simulate(spec, cells, [cfg.seed, i])
@@ -206,15 +195,13 @@ def run_ito_verify(cfg: ExperimentConfig):
         part = jump_refined_partition(_partition(cfg, cfg.level, path), path)
         res = ito_residual(T, path, phi, part)
         residuals.append(res)
-        rows.append(
-            {
-                "seed": f"{cfg.seed}-{i}",  # per-replica spawn key
-                "mesh_level": cfg.level,
-                "phi_id": "e0",
-                "T_id": "dual_e0",
-                "residual": res,
-            }
-        )
+    table = Table(
+        seed=[f"{cfg.seed}-{i}" for i in range(cfg.replicas)],  # per-replica spawn key
+        mesh_level=[cfg.level] * cfg.replicas,
+        phi_id=["e0"] * cfg.replicas,
+        T_id=["dual_e0"] * cfg.replicas,
+        residual=residuals,
+    )
     med = float(np.median(residuals))
     gate = cfg.tolerance("median_residual", 5e-3)
     ok = med <= gate
@@ -223,7 +210,7 @@ def run_ito_verify(cfg: ExperimentConfig):
         f"median residual {med:.6g} (gate: <= {gate:g})",
         f"ito-verify: {'PASS' if ok else 'FAIL'}",
     ]
-    return {"ito_residuals.csv": rows}, summary, ok
+    return {"ito_residuals.csv": table}, summary, ok
 
 
 def run_integrator_probe(cfg: ExperimentConfig):
@@ -271,8 +258,7 @@ def run_integrator_probe(cfg: ExperimentConfig):
         )
     )
 
-    rows = [row for rep in reports for row in rep.case_rows()]
-    tables = {"probe_cases.csv": rows}
+    tables = {"probe_cases.csv": case_table(reports)}
     for rep in reports:
         for name, table in rep.tables.items():
             tables[f"probe_{name}.csv"] = table

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import Table
+
 __all__ = [
     "SemimartingaleSpec",
     "CadlagPath",
@@ -116,18 +118,14 @@ class CadlagPath:
         k = np.searchsorted(self.jump_times, t, side="right")
         return self.jump_times[:k], self.jump_sizes[:k]
 
-    def to_rows(self):
-        """Rows (t, z_t, z_tminus, jump_flag) for CSV dumps."""
-        jump_set = set(self.jump_times.tolist())
-        return [
-            {
-                "t": float(t),
-                "z_t": float(v),
-                "z_tminus": float(lv),
-                "jump_flag": int(t in jump_set),
-            }
-            for t, v, lv in zip(self.times, self.values, self.left_values)
-        ]
+    def to_rows(self) -> Table:
+        """Columns (t, z_t, z_tminus, jump_flag) for CSV dumps."""
+        return Table(
+            t=self.times,
+            z_t=self.values,
+            z_tminus=self.left_values,
+            jump_flag=np.isin(self.times, self.jump_times),
+        )
 
 
 class HistoryView:

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .basis import DimensionError, Distribution, HermiteBasis, TestFunction
+from .csvio import Table
 from .paths import CadlagPath, ContractError, HistoryView, RandomPartition, stop_path
 from .scalar_integral import (
     CylindricalSemimartingale,
@@ -197,13 +198,14 @@ class DistributionPath:
         mask = slice(None) if upto is None else self.times <= upto
         return float(np.sqrt(np.max(self.coeffs[mask] ** 2 @ w)))
 
-    def to_rows(self) -> list[dict]:
-        """Long-format rows (t, j, f_j) for CSV dumps."""
-        return [
-            {"t": float(t), "j": j, "f_j": float(self.coeffs[i, j])}
-            for i, t in enumerate(self.times)
-            for j in range(self.basis.truncation)
-        ]
+    def to_rows(self) -> Table:
+        """Long-format columns (t, j, f_j) for CSV dumps, one row per (t, j)."""
+        n = self.basis.truncation
+        return Table(
+            t=np.repeat(self.times, n),
+            j=np.tile(np.arange(n), len(self.times)),
+            f_j=self.coeffs.ravel(),
+        )
 
 
 def _default_times(path: CadlagPath, partition: RandomPartition) -> np.ndarray:

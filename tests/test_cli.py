@@ -5,7 +5,8 @@ import pytest
 
 from hermsem.cli import main, run
 from hermsem.config import ConfigError, ExperimentConfig
-from hermsem.csvio import emit_csv, format_value
+from hermsem.csvio import Table, emit_csv
+from hermsem.paths import SemimartingaleSpec, simulate
 
 
 def write_config(tmp_path, **kv):
@@ -14,35 +15,62 @@ def write_config(tmp_path, **kv):
     return str(path)
 
 
+def written(tmp_path, table) -> bytes:
+    p = tmp_path / "t.csv"
+    emit_csv(table, str(p))
+    return p.read_bytes()
+
+
 class TestCsv:
     def test_empty_table_header_only(self, tmp_path):
-        p = tmp_path / "t.csv"
-        emit_csv([], str(p), columns=["a", "b"])
-        assert p.read_bytes() == b"a,b\r\n"
+        assert written(tmp_path, Table(a=[], b=[])) == b"a,b\r\n"
 
     def test_one_row(self, tmp_path):
-        p = tmp_path / "t.csv"
-        emit_csv([{"x": 1.0, "y": 0.5}], str(p))
-        assert p.read_bytes() == b"x,y\r\n1,0.5\r\n"
+        assert written(tmp_path, Table(x=[1.0], y=[0.5])) == b"x,y\r\n1,0.5\r\n"
 
     def test_float_round_trip_bits(self, tmp_path):
         rng = np.random.default_rng(0)
         vals = list(rng.normal(size=50)) + [1e-300, 1e300, 2.0 / 3.0]
-        p = tmp_path / "t.csv"
-        emit_csv([{"v": v} for v in vals], str(p))
-        lines = p.read_text().strip().split("\r\n")[1:]
+        lines = written(tmp_path, Table(v=vals)).decode().strip().split("\r\n")[1:]
         back = [float(s) for s in lines]
+        assert len(back) == len(vals)
         assert all(a == b for a, b in zip(vals, back))
 
     def test_quoting(self, tmp_path):
-        p = tmp_path / "t.csv"
-        emit_csv([{"s": 'a,"b"'}], str(p))
-        assert p.read_bytes() == b's\r\n"a,""b"""\r\n'
+        assert written(tmp_path, Table(s=['a,"b"'])) == b's\r\n"a,""b"""\r\n'
 
-    def test_format_value(self):
-        assert format_value(True) == "1"
-        assert format_value(3) == "3"
-        assert float(format_value(np.pi)) == np.pi
+    def test_format_value(self, tmp_path):
+        data = written(tmp_path, Table(b=[True], i=[3], f=[np.pi]))
+        b, i, f = data.split(b"\r\n")[1].split(b",")
+        assert (b, i) == (b"1", b"3")
+        assert float(f) == np.pi
+
+    def test_exact_bytes_per_column_kind(self, tmp_path):
+        floats = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300, 2.0 / 3.0]
+        table = Table(
+            x=floats,
+            flag=np.array([True, False] * 3 + [True]),
+            n=np.arange(7, dtype=np.int64) - 3,
+            **{
+                "a,b": ["plain", "x,y", 'say "hi"', "two\nlines", "cr\r", "", "z"],
+            },
+        )
+        assert written(tmp_path, table) == (
+            b'x,flag,n,"a,b"\r\n'
+            b"nan,1,-3,plain\r\n"
+            b'inf,0,-2,"x,y"\r\n'
+            b'-inf,1,-1,"say ""hi"""\r\n'
+            b'-0,0,0,"two\nlines"\r\n'
+            b'4.9406564584124654e-324,1,1,"cr\r"\r\n'
+            b"1.0000000000000001e+300,0,2,\r\n"
+            b"0.66666666666666663,1,3,z\r\n"
+        )
+
+    def test_ragged_table_raises(self):
+        with pytest.raises(ValueError, match="length"):
+            Table(a=[1.0, 2.0], b=[1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            Table(a=np.zeros((2, 2)))
 
     def test_unwritable_output_exits_1(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -83,6 +111,37 @@ class TestConfig:
         with pytest.raises(ConfigError, match="quad_order"):
             ExperimentConfig.from_file(path)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("replicas", True),
+            ("truncation", 8.5),
+            ("quad_order", 200.0),
+            ("level", False),
+            ("seed", 7.0),
+            ("n_max", True),
+            ("levels", [4, True]),
+            ("levels", [4, 5.0]),
+            ("mu", float("nan")),
+            ("z0", float("inf")),
+            ("horizon", float("-inf")),
+            ("sigma", True),
+            ("jump_sd", "0.4"),
+            ("hitting_levels", [1.0, float("nan")]),
+        ],
+    )
+    def test_wrong_type_exits_2_naming_field(self, tmp_path, capsys, name, value):
+        path = write_config(tmp_path, experiment="ito-verify", **{name: value})
+        assert run(path) == 2
+        assert f"field {name!r}" in capsys.readouterr().err
+
+    def test_int_in_float_field_is_valid(self, tmp_path):
+        path = write_config(
+            tmp_path, experiment="simulate", horizon=1, z0=0, jump_intensity=2
+        )
+        cfg = ExperimentConfig.from_file(path)
+        assert (cfg.horizon, cfg.z0, cfg.jump_intensity) == (1, 0, 2)
+
     def test_resolved_fills_defaults(self, tmp_path):
         path = write_config(tmp_path, experiment="simulate")
         cfg = ExperimentConfig.from_file(path)
@@ -116,6 +175,29 @@ class TestRun:
         assert (out / "summary.txt").exists()
         echoed = json.loads((out / "config_resolved.json").read_text())
         assert echoed["seed"] == 5 and echoed["experiment"] == "simulate"
+
+    def test_simulate_path_dumps_round_trip(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(
+            tmp_path, experiment="simulate", jump_intensity=3.0, level=4,
+            replicas=3, seed=11, output_dir=str(out),
+        )
+        assert run(path) == 0
+        spec = SemimartingaleSpec(jump_intensity=3.0)
+        jumps = 0
+        for i in range(3):
+            p = simulate(spec, 2**4, [11, i])
+            lines = (out / f"path_{i}.csv").read_bytes().decode().split("\r\n")
+            assert lines[0] == "t,z_t,z_tminus,jump_flag" and lines[-1] == ""
+            cells = np.array([ln.split(",") for ln in lines[1:-1]])
+            for k, expected in enumerate([p.times, p.values, p.left_values]):
+                assert cells[:, k].astype(float).tobytes() == expected.tobytes()
+            flag = cells[:, 3].astype(int)
+            assert set(flag.tolist()) <= {0, 1}
+            assert flag.sum() == len(p.jump_times)
+            assert np.array_equal(p.times[flag == 1], p.jump_times)
+            jumps += len(p.jump_times)
+        assert jumps > 0
 
     def test_seed_and_output_dir_overrides(self, tmp_path):
         path = write_config(

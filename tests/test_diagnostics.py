@@ -2,6 +2,7 @@ import numpy as np
 
 from hermsem.basis import Distribution, HermiteBasis, basis_vector, dual_basis_vector
 from hermsem.diagnostics import (
+    case_table,
     continuity_probe,
     linearity_probe,
     localization_probe,
@@ -86,8 +87,8 @@ class TestContinuityProbe:
         assert rep.passed
         table = rep.tables["continuity"]
         # linear scaling: estimates shrink roughly like 1/k
-        assert table[-1]["ucp_estimate"] < table[0]["ucp_estimate"]
-        assert table[0]["integrand_size"] > table[-1]["integrand_size"]
+        assert table["ucp_estimate"][-1] < table["ucp_estimate"][0]
+        assert table["integrand_size"][0] > table["integrand_size"][-1]
 
     def test_shrinking_window(self):
         paths = simulate_ensemble(SPEC, 64, 103, 40)
@@ -107,7 +108,7 @@ class TestContinuityProbe:
         d = IntegrandDictionary.default(1.0, seed=3)
         rep = continuity_probe(X, paths, seq, d, n_max=1, threshold=0.5)
         table = rep.tables["continuity"]
-        assert table[-1]["ucp_estimate"] < table[0]["ucp_estimate"]
+        assert table["ucp_estimate"][-1] < table["ucp_estimate"][0]
 
     def test_zero_sequence(self):
         paths = simulate_ensemble(SPEC, 32, 105, 10)
@@ -115,7 +116,7 @@ class TestContinuityProbe:
         d = IntegrandDictionary.default(1.0)
         rep = continuity_probe(X, paths, [z, z, z], d, n_max=1, threshold=0.01)
         assert rep.passed
-        assert all(r["ucp_estimate"] == 0.0 for r in rep.tables["continuity"])
+        assert np.all(rep.tables["continuity"]["ucp_estimate"] == 0.0)
 
 
 class TestLocalizationProbe:
@@ -184,6 +185,7 @@ def test_report_formatting():
     rep = stopping_probe(X, p, make_integrands()[:1], [0.5])
     lines = rep.summary_lines()
     assert lines[0].startswith("[stopping] PASS")
-    rows = rep.case_rows()
-    assert rows[0]["probe"] == "stopping"
-    assert rows[0]["passed"] == 1
+    rows = case_table([rep])
+    assert len(rows) == len(rep.cases)
+    assert rows["probe"][0] == "stopping"
+    assert rows["passed"][0] == 1

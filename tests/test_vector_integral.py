@@ -411,7 +411,10 @@ class TestDistributionPath:
         times = np.array([0.0, 1.0])
         coeffs = np.vstack([np.arange(64.0), np.arange(64.0) + 100])
         dp = DistributionPath(B, times, coeffs)
-        rows = dp.to_rows()
-        assert len(rows) == 2 * 64
-        assert rows[0] == {"t": 0.0, "j": 0, "f_j": 0.0}
-        assert rows[64 + 3] == {"t": 1.0, "j": 3, "f_j": 103.0}
+        table = dp.to_rows()
+        assert len(table) == 2 * 64
+        assert list(table.columns) == ["t", "j", "f_j"]
+        t, j, f = table["t"], table["j"], table["f_j"]
+        assert (t[0], j[0], f[0]) == (0.0, 0, 0.0)
+        assert (t[64 + 3], j[64 + 3], f[64 + 3]) == (1.0, 3, 103.0)
+        assert j.dtype.kind == "i"
