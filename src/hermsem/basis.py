@@ -25,6 +25,7 @@ __all__ = [
     "Distribution",
     "eval_hermite",
     "hermite_matrix",
+    "support",
     "analyze",
     "seminorm",
     "dual_seminorm",
@@ -50,10 +51,12 @@ def hermite_matrix(x, n: int) -> np.ndarray:
         h_{k+1}(x) = sqrt(2/(k+1)) x h_k(x) - sqrt(k/(k+1)) h_{k-1}(x)
 
     with h_0(x) = pi^(-1/4) exp(-x^2/2).  Returns an array of shape
-    ``x.shape + (n,)``.
+    ``x.shape + (n,)``; n = 0 gives a zero-width array.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape + (n,))
+    if n == 0:
+        return out
     h0 = np.pi ** (-0.25) * np.exp(-0.5 * x**2)
     out[..., 0] = h0
     if n > 1:
@@ -62,6 +65,41 @@ def hermite_matrix(x, n: int) -> np.ndarray:
         out[..., k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[..., k] - np.sqrt(
             k / (k + 1)
         ) * out[..., k - 1]
+    return out
+
+
+def support(*coeff_arrays) -> int:
+    """One past the last column that is nonzero in any of the given arrays.
+
+    Each argument is a coefficient vector or a 2-D stack of coefficient
+    rows; the result is 0 when every entry is zero.  NaN counts as
+    nonzero.  Contracting a Hermite evaluation with these coefficients
+    reads only columns ``0 .. support - 1``: the recurrence runs forward,
+    so computing just those columns gives them bit for bit, and every
+    later column meets a zero coefficient.
+    """
+    n = 0
+    for c in coeff_arrays:
+        nz = np.flatnonzero(np.atleast_2d(c).any(axis=0))
+        if nz.size:
+            n = max(n, int(nz[-1]) + 1)
+    return n
+
+
+def pad_columns(cols: np.ndarray, n: int) -> np.ndarray:
+    """Zero-pad the last axis of ``cols`` to width n (no copy if it has it).
+
+    Bounded evaluations (see :func:`support`) are padded back to the full
+    truncation before a BLAS or einsum contraction, so the contraction
+    sees the same operand shapes in the same order as the full-width
+    evaluation.  The padded columns multiply zero coefficients where the
+    full ones did, so for finite evaluation points the contraction gives
+    the same bits, up to the sign of a result that is exactly zero.
+    """
+    if cols.shape[-1] == n:
+        return cols
+    out = np.zeros(cols.shape[:-1] + (n,))
+    out[..., : cols.shape[-1]] = cols
     return out
 
 
@@ -129,8 +167,14 @@ class TestFunction:
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, x):
-        """Pointwise evaluation via the Hermite recurrence."""
-        return hermite_matrix(x, self.basis.truncation) @ self.coeffs
+        """Pointwise evaluation via the Hermite recurrence.
+
+        Only the columns up to ``support(coeffs)`` are evaluated; they are
+        zero-padded to N before the contraction, so the result's bits do
+        not depend on the bound.
+        """
+        H = hermite_matrix(x, support(self.coeffs))
+        return pad_columns(H, self.basis.truncation) @ self.coeffs
 
     def __add__(self, other: "TestFunction") -> "TestFunction":
         _check_same_basis(self.basis, other.basis)
@@ -218,10 +262,12 @@ def hermite_weighted_sum(pts: np.ndarray, weights: np.ndarray, n: int) -> np.nda
 
     Equivalent to contracting :func:`hermite_matrix` over the q axis but
     never materializes the (S, Q, n) tensor; the recurrence keeps only two
-    (S, Q) working arrays.
+    (S, Q) working arrays.  n = 0 gives an (S, 0) array.
     """
     pts = np.asarray(pts, dtype=float)
     out = np.empty((pts.shape[0], n))
+    if n == 0:
+        return out
     h_prev = np.pi ** (-0.25) * np.exp(-0.5 * pts**2)
     out[:, 0] = h_prev @ weights
     if n == 1:
@@ -293,7 +339,8 @@ def shift_many(phi: TestFunction, a_values) -> list[TestFunction]:
     basis = phi.basis
     a_values = np.asarray(a_values, dtype=float)
     pts = basis.nodes[None, :] + a_values[:, None]
-    vals = hermite_matrix(pts, basis.truncation) @ phi.coeffs
+    H = hermite_matrix(pts, support(phi.coeffs))
+    vals = pad_columns(H, basis.truncation) @ phi.coeffs
     coeff_rows = (basis.lifted_weights * vals) @ basis.node_values
     return [TestFunction(basis, row) for row in coeff_rows]
 

@@ -37,8 +37,10 @@ from .basis import (
     differentiate,
     hermite_matrix,
     hermite_weighted_sum,
+    pad_columns,
     pair,
     shift,
+    support,
 )
 from .paths import CadlagPath, ContractError, RandomPartition
 from .scalar_integral import CylindricalSemimartingale
@@ -65,23 +67,41 @@ class DiracSemimartingale(CylindricalSemimartingale):
         self.basis = basis
 
     def pair_pointwise(self, path, ts, coeff_rows, left=False):
+        """phi_i(z_{ts[i]}), evaluating h_j only for j < support(coeff_rows).
+
+        The evaluated columns are zero-padded back to N before the einsum,
+        so it contracts the same operands in the same order as a full-N
+        evaluation and the result keeps its bits.
+        """
         z = path.values_at(np.asarray(ts, dtype=float), left=left)
-        H = hermite_matrix(z, self.basis.truncation)
-        return np.einsum("ij,ij->i", H, np.asarray(coeff_rows))
+        coeff_rows = np.asarray(coeff_rows)
+        H = hermite_matrix(z, support(coeff_rows))
+        return np.einsum("ij,ij->i", pad_columns(H, self.basis.truncation), coeff_rows)
 
 
-def conv_matrix(T: Distribution, a_values) -> np.ndarray:
+def conv_matrix(T: Distribution, a_values, columns: int | None = None) -> np.ndarray:
     """M[s, j] = T(h_j(. + a_values[s])) = <T, shift(h_j, a_s)>.
 
     T(psi(. + a)) = sum_q c_q psi(x_q + a) with c_q the lifted quadrature
     weights against the kernel of T; this reorders the same finite sums as
     pairing T with the re-expanded shift, so the two agree exactly.
+
+    Only the first ``columns`` columns (default: all N) are computed; pass
+    :func:`~hermsem.basis.support` of the coefficients that M will be
+    contracted with.  The recurrence runs forward, so those columns are
+    bit-equal to a full evaluation's.  The rest are exact zeros: M keeps
+    its (S, N) shape, so a later ``M @ c`` contracts the same operands in
+    the same order as with a full M and gives the same bits (see
+    :func:`~hermsem.basis.pad_columns` for the one caveat).
     """
     basis = T.basis
+    n = basis.truncation if columns is None else columns
+    if not 0 <= n <= basis.truncation:
+        raise ValueError(f"columns {n} out of range [0, {basis.truncation}]")
     a_values = np.asarray(a_values, dtype=float)
     cq = basis.lifted_weights * (basis.node_values @ T.dual_coeffs)
     pts = basis.nodes[None, :] + a_values[:, None]
-    return hermite_weighted_sum(pts, cq, basis.truncation)
+    return pad_columns(hermite_weighted_sum(pts, cq, n), basis.truncation)
 
 
 class ConvolvedDiracSemimartingale(CylindricalSemimartingale):
@@ -91,9 +111,15 @@ class ConvolvedDiracSemimartingale(CylindricalSemimartingale):
         self.T = T
 
     def pair_pointwise(self, path, ts, coeff_rows, left=False):
+        """T(phi_i(. + z_{ts[i]})), with M bounded by support(coeff_rows).
+
+        :func:`conv_matrix` zero-pads M to N columns, so the einsum sees
+        the same operands in the same order and the result keeps its bits.
+        """
         z = path.values_at(np.asarray(ts, dtype=float), left=left)
-        M = conv_matrix(self.T, z)
-        return np.einsum("sj,sj->s", M, np.asarray(coeff_rows))
+        coeff_rows = np.asarray(coeff_rows)
+        M = conv_matrix(self.T, z, support(coeff_rows))
+        return np.einsum("sj,sj->s", M, coeff_rows)
 
 
 def dirac_pair(path: CadlagPath, t: float, phi: TestFunction, left: bool = False) -> float:
@@ -169,10 +195,12 @@ def _ito_eval(T, path, phi, partition, bracket):
     """Shared evaluation: terms plus the pairing trajectory f(z_tau)."""
     _require_jump_refined(path, partition)
     taus = partition.times
-    M = conv_matrix(T, path.values_at(taus))  # rows: T(h_j(. + z_tau))
-
     dphi = differentiate(phi)
     d2phi = differentiate(dphi)
+    # every contraction below reads M through phi, dphi or d2phi only
+    cols = support(phi.coeffs, dphi.coeffs, d2phi.coeffs)
+    M = conv_matrix(T, path.values_at(taus), cols)  # rows: T(h_j(. + z_tau))
+
     g1 = M[:-1] @ dphi.coeffs   # T(dphi(. + z_{tau_k})) at cell left ends
     g2 = M[:-1] @ d2phi.coeffs
 
@@ -186,8 +214,8 @@ def _ito_eval(T, path, phi, partition, bracket):
     jt = path.jump_times[path.jump_times <= taus[-1]]
     if len(jt):
         js = path.jump_sizes[: len(jt)]
-        Mb = conv_matrix(T, path.values_at(jt, left=True))
-        Ma = conv_matrix(T, path.values_at(jt))
+        Mb = conv_matrix(T, path.values_at(jt, left=True), cols)
+        Ma = conv_matrix(T, path.values_at(jt), cols)
         jump_c = (Ma - Mb) @ phi.coeffs - (Mb @ dphi.coeffs) * js
         idx = np.searchsorted(jt, taus, side="right")
         C = np.concatenate([[0.0], np.cumsum(jump_c)])[idx]

@@ -15,11 +15,15 @@ from hermsem.basis import (
     dual_basis_vector,
     dual_seminorm,
     eval_hermite,
+    hermite_matrix,
+    hermite_weighted_sum,
+    pad_columns,
     pair,
     position_multiply,
     seminorm,
     shift,
     shift_many,
+    support,
 )
 
 B = HermiteBasis(64, 160)
@@ -241,3 +245,69 @@ class TestDifferentiate:
         phi = TestFunction(B, rng.normal(size=64))
         D = differentiation_matrix(B)
         assert np.allclose(D @ phi.coeffs, differentiate(phi).coeffs, atol=1e-14)
+
+
+class TestColumnBound:
+    def test_hermite_matrix_zero_columns(self):
+        assert hermite_matrix(0.3, 0).shape == (0,)
+        assert hermite_matrix(np.zeros((3, 4)), 0).shape == (3, 4, 0)
+
+    def test_weighted_sum_zero_columns(self):
+        pts = np.linspace(-1.0, 1.0, 10).reshape(5, 2)
+        assert hermite_weighted_sum(pts, np.ones(2), 0).shape == (5, 0)
+
+    def test_leading_columns_do_not_depend_on_width(self):
+        x = np.linspace(-3.0, 3.0, 13)
+        full = hermite_matrix(x, 64)
+        pts = x.reshape(-1, 1) + B.nodes[None, :8]
+        w = np.linspace(0.5, 1.5, 8)
+        full_sum = hermite_weighted_sum(pts, w, 64)
+        for n in (1, 2, 3, 17, 64):
+            assert np.array_equal(hermite_matrix(x, n), full[:, :n])
+            assert np.array_equal(hermite_weighted_sum(pts, w, n), full_sum[:, :n])
+
+    def test_support(self):
+        assert support() == 0
+        assert support(np.zeros(64)) == 0
+        assert support(np.zeros((3, 64))) == 0
+        assert support(np.zeros((0, 64))) == 0
+        assert support(basis_vector(B, 0).coeffs) == 1
+        assert support(basis_vector(B, 63).coeffs) == 64
+        rows = np.zeros((3, 64))
+        rows[0, 2] = 1.0
+        rows[2, 9] = -0.5
+        assert support(rows) == 10
+        assert support(rows[:1], basis_vector(B, 4).coeffs) == 5
+        nan_row = np.zeros(64)
+        nan_row[6] = np.nan
+        assert support(nan_row) == 7
+
+    def test_pad_columns(self):
+        cols = np.arange(6.0).reshape(2, 3)
+        padded = pad_columns(cols, 5)
+        assert padded.shape == (2, 5)
+        assert np.array_equal(padded[:, :3], cols)
+        assert np.all(padded[:, 3:] == 0.0)
+        assert pad_columns(cols, 3) is cols
+        assert pad_columns(np.empty((4, 0)), 2).shape == (4, 2)
+
+    @pytest.mark.parametrize("kind", ["e0", "e5", "full", "zero"])
+    def test_bounded_evaluation_is_bit_equal(self, kind):
+        c = np.zeros(64)
+        if kind == "e0":
+            c[0] = 1.0
+        elif kind == "e5":
+            c[5] = 1.0
+        elif kind == "full":
+            c = np.random.default_rng(8).normal(size=64)
+        phi = TestFunction(B, c)
+        xs = np.linspace(-4.0, 4.0, 33)
+        # the full-N evaluation that the bound replaces
+        assert np.array_equal(phi(xs), hermite_matrix(xs, 64) @ c)
+        assert phi(0.7) == hermite_matrix(0.7, 64) @ c
+        a = np.array([-1.1, 0.0, 0.45])
+        pts = B.nodes[None, :] + a[:, None]
+        vals = hermite_matrix(pts, 64) @ c
+        expect = (B.lifted_weights * vals) @ B.node_values
+        got = np.array([f.coeffs for f in shift_many(phi, a)])
+        assert np.array_equal(got, expect)

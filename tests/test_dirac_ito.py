@@ -6,12 +6,15 @@ from hermsem.basis import (
     HermiteBasis,
     TestFunction,
     basis_vector,
+    differentiate,
     dual_basis_vector,
+    hermite_matrix,
     pair,
     shift,
 )
 from hermsem.dirac_ito import (
     ConvolvedDiracSemimartingale,
+    _bracket_increments,
     DiracSemimartingale,
     conv_matrix,
     conv_pair,
@@ -264,3 +267,117 @@ class TestItoResidual:
         r_real = ito_residual(T0, p, E0, part, bracket="realized")
         r_model = ito_residual(T0, p, E0, part, bracket="model")
         assert r_real < r_model
+
+
+def full_width_ito_residual(T, path, phi, partition, bracket="realized"):
+    """ito_residual with every conv_matrix evaluated over all N columns."""
+    taus = partition.times
+    M = conv_matrix(T, path.values_at(taus))
+    dphi = differentiate(phi)
+    d2phi = differentiate(dphi)
+    g1 = M[:-1] @ dphi.coeffs
+    g2 = M[:-1] @ d2phi.coeffs
+    dz = np.diff(path.values_at(taus))
+    A = np.concatenate([[0.0], -np.cumsum(g1 * dz)])
+    db = _bracket_increments(path, taus, bracket)
+    Bt = np.concatenate([[0.0], np.cumsum(g2 * db)])
+    C = np.zeros_like(taus)
+    jt = path.jump_times[path.jump_times <= taus[-1]]
+    if len(jt):
+        js = path.jump_sizes[: len(jt)]
+        Mb = conv_matrix(T, path.values_at(jt, left=True))
+        Ma = conv_matrix(T, path.values_at(jt))
+        jump_c = (Ma - Mb) @ phi.coeffs - (Mb @ dphi.coeffs) * js
+        idx = np.searchsorted(jt, taus, side="right")
+        C = np.concatenate([[0.0], np.cumsum(jump_c)])[idx]
+    f = M @ phi.coeffs
+    gap = f - f[0] + A - 0.5 * Bt - C
+    return float(np.max(np.abs(gap)))
+
+
+MIXED = SemimartingaleSpec(sigma=1.0, jump_intensity=3.0, jump_sd=0.5, horizon=1.0)
+
+
+def mixed_support_rows(n_rows):
+    """Coefficient rows with supports 3, 0 (all zero), 11 and 1, cycled."""
+    rng = np.random.default_rng(12)
+    rows = np.zeros((n_rows, 64))
+    for i in range(n_rows):
+        width = (3, 0, 11, 1)[i % 4]
+        rows[i, :width] = rng.normal(size=width)
+    return rows
+
+
+class TestColumnBound:
+    """Bounded Hermite evaluation reproduces the full-N bits exactly."""
+
+    A_VALUES = np.array([-1.7, -0.5, 0.0, 0.3, 1.2, 2.5])
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 64])
+    def test_conv_matrix_columns(self, k):
+        rng = np.random.default_rng(13)
+        for T in (T0, Distribution(B, rng.normal(size=64))):
+            full = conv_matrix(T, self.A_VALUES)
+            M = conv_matrix(T, self.A_VALUES, k)
+            assert M.shape == full.shape == (len(self.A_VALUES), 64)
+            assert np.array_equal(M[:, :k], full[:, :k])
+            assert np.all(M[:, k:] == 0.0)
+
+    def test_conv_matrix_columns_out_of_range(self):
+        for k in (-1, 65):
+            with pytest.raises(ValueError, match="columns"):
+                conv_matrix(T0, self.A_VALUES, k)
+
+    def test_dirac_pair_pointwise(self):
+        p = simulate(MIXED, 64, seed=14)
+        ts = p.times[::3]
+        rows = mixed_support_rows(len(ts))
+        ref = np.einsum("ij,ij->i", hermite_matrix(p.values_at(ts), 64), rows)
+        got = DiracSemimartingale(B).pair_pointwise(p, ts, rows)
+        assert np.array_equal(got, ref)
+        assert np.all(got[1::4] == 0.0)
+        zero = DiracSemimartingale(B).pair_pointwise(p, ts, np.zeros_like(rows))
+        assert np.array_equal(zero, np.zeros(len(ts)))
+
+    def test_convolved_pair_pointwise(self):
+        p = simulate(MIXED, 64, seed=15)
+        ts = p.times[::3]
+        rows = mixed_support_rows(len(ts))
+        rng = np.random.default_rng(16)
+        for T in (T0, Distribution(B, rng.normal(size=64))):
+            ref = np.einsum("sj,sj->s", conv_matrix(T, p.values_at(ts)), rows)
+            got = ConvolvedDiracSemimartingale(T).pair_pointwise(p, ts, rows, left=False)
+            assert np.array_equal(got, ref)
+            ref_left = np.einsum(
+                "sj,sj->s", conv_matrix(T, p.values_at(ts, left=True)), rows
+            )
+            got_left = ConvolvedDiracSemimartingale(T).pair_pointwise(p, ts, rows, left=True)
+            assert np.array_equal(got_left, ref_left)
+
+    @pytest.mark.parametrize("kind", ["e0", "e5", "full"])
+    def test_ito_residual_matches_full_width(self, kind):
+        rng = np.random.default_rng(17)
+        if kind == "full":
+            phi = TestFunction(B, rng.normal(size=64) / 8)
+        else:
+            phi = basis_vector(B, int(kind[1:]))
+        p = simulate(MIXED, 2**7, seed=18)
+        assert len(p.jump_times) > 0
+        part = jump_refined_partition(dyadic_partition(6, 1.0), p)
+        for T in (T0, Distribution(B, rng.normal(size=64))):
+            for bracket in ("realized", "model"):
+                assert ito_residual(T, p, phi, part, bracket) == full_width_ito_residual(
+                    T, p, phi, part, bracket
+                )
+
+    def test_no_state_carries_over(self):
+        a = np.array([-0.5, 1.2])
+        fresh = conv_matrix(T0, a)
+        assert np.all(fresh[:, 7] != 0.0)
+        p = simulate(MIXED, 64, seed=19)
+        part = jump_refined_partition(dyadic_partition(5, 1.0), p)
+        ito_residual(T0, p, E0, part)
+        ConvolvedDiracSemimartingale(T0).pair_many(p, p.times[:4], E0)
+        after = conv_matrix(T0, a)
+        assert np.array_equal(after[:, 7], fresh[:, 7])
+        assert np.array_equal(after, fresh)
